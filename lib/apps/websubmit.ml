@@ -130,54 +130,22 @@ module Employer_release = Policy.Make (Employer_release_family)
 let employer_release_loc = (15, 8)
 
 (* (iv) Grades feed model training only with consent. Consent lives in the
-   users table; the policy queries it lazily at check time and memoizes per
-   student (policy code is trusted and may cache, §4.1). *)
+   users table; the policy queries it at check time. The query runs under
+   the verdict cache's read footprint, so {!Enforce} memoizes the verdict
+   until the student's users shard is written — a consent change retires
+   it without any invalidation hook here. *)
 module Ml_training_family = struct
-  type s = {
-    student : string;
-    db : Db.Database.t;
-    cache : (string, bool) Hashtbl.t;
-  }
+  type s = { student : string; db : Db.Database.t }
 
   let name = "websubmit::ml-training"
 
-  (* The consent memo is shared by every grade policy and written from
-     whichever domain runs the check; one mutex keeps the Hashtbl (and
-     the consent-change invalidation in [update_consent]) domain-safe.
-     The DB query runs outside the lock — a racing duplicate lookup is
-     idempotent, a held lock across a modeled round trip is not cheap. *)
-  let cache_lock = Mutex.create ()
-
-  let cached_consent cache student =
-    Mutex.lock cache_lock;
-    let hit = Hashtbl.find_opt cache student in
-    Mutex.unlock cache_lock;
-    hit
-
-  let remember_consent cache student consent =
-    Mutex.lock cache_lock;
-    if not (Hashtbl.mem cache student) then Hashtbl.add cache student consent;
-    Mutex.unlock cache_lock
-
-  let forget_consent cache student =
-    Mutex.lock cache_lock;
-    Hashtbl.remove cache student;
-    Mutex.unlock cache_lock
-
   let consents s =
-    match cached_consent s.cache s.student with
-    | Some consent -> consent
-    | None ->
-        let consent =
-          match
-            Db.Database.exec s.db "SELECT consent_ml FROM users WHERE email = ?"
-              ~params:[ Db.Value.Text s.student ]
-          with
-          | Ok (Db.Database.Rows { rows = [ [| Db.Value.Bool b |] ]; _ }) -> b
-          | _ -> false
-        in
-        remember_consent s.cache s.student consent;
-        consent
+    match
+      Db.Database.exec s.db "SELECT consent_ml FROM users WHERE email = ?"
+        ~params:[ Db.Value.Text s.student ]
+    with
+    | Ok (Db.Database.Rows { rows = [ [| Db.Value.Bool b |] ]; _ }) -> b
+    | _ -> false
 
   let check s ctx =
     match Context.sink ctx with
@@ -397,8 +365,6 @@ type t = {
   k : int;
   regions : regions;
   hardening : hardening option;
-  consent_cache : (string, bool) Hashtbl.t;
-      (** memo used by the MlTraining policy; invalidated on consent change *)
   mutable model : (float * float) Pcon.t option;  (** (weight, intercept) *)
   mutable next_answer_id : int;
 }
@@ -596,7 +562,6 @@ let attach_policies conn db =
           in
           Hashtbl.add answer_policies (author, lecture) policy;
           policy);
-  let consent_cache = Hashtbl.create 256 in
   let grade_policies : (string, Policy.t) Hashtbl.t = Hashtbl.create 256 in
   (* The grade binding's pushdown translation. At the training sink the
      conjoined GradeAccess ∧ MlTraining policy admits exactly the
@@ -634,7 +599,7 @@ let attach_policies conn db =
           let policy =
             Policy.conjoin
               (Grade_access.make { student })
-              (Ml_training.make { student; db; cache = consent_cache })
+              (Ml_training.make { student; db })
           in
           Hashtbl.add grade_policies student policy;
           policy);
@@ -653,8 +618,7 @@ let attach_policies conn db =
       Demographics.make
         { student = Db.Value.to_text (Db.Row.get schema row "email") });
   Conn.attach_policy conn ~table:"users" ~column:"apikey_hash" (fun schema row ->
-      Api_key.make { owner = Db.Value.to_text (Db.Row.get schema row "email") });
-  consent_cache
+      Api_key.make { owner = Db.Value.to_text (Db.Row.get schema row "email") })
 
 (* ------------------------------------------------------------------ *)
 (* The static elision model: what each policy family's verdict depends
@@ -825,7 +789,7 @@ let install_plan t =
   Enforce.Plan.declare_endpoint_sinks ~endpoint:"/aggregates" [ "http::render" ];
   Enforce.Plan.declare_endpoint_sinks ~endpoint:"/predict" [ "http::respond" ]
 
-let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id ~consent_cache () =
+let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () =
   let keystore = Sign.Keystore.create () in
   Sign.Keystore.register keystore ~reviewer ~secret:"alice-reviewer-secret";
   let program = build_program () in
@@ -850,7 +814,6 @@ let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id ~consent_cache ()
       k = k_anonymity;
       regions;
       hardening;
-      consent_cache;
       model = None;
       next_answer_id;
     }
@@ -875,8 +838,8 @@ let create ?(query_cost_ns = 0) ?(k_anonymity = 5) ?hardening () =
   let* () = Db.Database.create_table db Websubmit_schema.leaders in
   let* () = index_hot_columns db in
   let conn = Conn.create db in
-  let consent_cache = attach_policies conn db in
-  assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id:1 ~consent_cache ()
+  attach_policies conn db;
+  assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id:1 ()
 
 let create_durable ?(query_cost_ns = 0) ?(k_anonymity = 5) ?durable_config ?hardening ~data_dir
     () =
@@ -898,7 +861,7 @@ let create_durable ?(query_cost_ns = 0) ?(k_anonymity = 5) ?durable_config ?hard
       let* () = ensure Websubmit_schema.answers in
       let* () = ensure Websubmit_schema.leaders in
       let* () = index_hot_columns db in
-      let consent_cache = attach_policies conn db in
+      attach_policies conn db;
       let next_answer_id =
         match Db.Database.table db "answers" with
         | None -> 1
@@ -910,7 +873,7 @@ let create_durable ?(query_cost_ns = 0) ?(k_anonymity = 5) ?durable_config ?hard
                   | Db.Value.Int i -> max acc i
                   | _ -> acc)
       in
-      let* t = assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id ~consent_cache () in
+      let* t = assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () in
       Ok (t, store)
 
 let answer_count t =
@@ -1301,9 +1264,8 @@ let predict_grades t request =
           | Error e -> web_error e))
 
 (* POST /consent: the user's consent choice (§9). Consent gates both the
-   employer release and ML training; the MlTraining policy memoizes
-   consent lookups, so a change must invalidate that cache or stale
-   consent would keep flowing into training. *)
+   employer release and ML training; the write bumps the user's users
+   shard, which retires every cached MlTraining verdict that read it. *)
 let update_consent t request =
   require_auth t request (fun user ->
       match Http.Request.form_param request "consent" with
@@ -1323,9 +1285,7 @@ let update_consent t request =
           with
           | Error e -> conn_error e
           | Ok 0 -> Http.Response.error Http.Status.Not_found "no such user"
-          | Ok _ ->
-              Ml_training_family.forget_consent t.consent_cache user;
-              Http.Response.text "consent updated"))
+          | Ok _ -> Http.Response.text "consent updated"))
 
 (* ------------------------------------------------------------------ *)
 

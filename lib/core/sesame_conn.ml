@@ -160,11 +160,10 @@ type t = {
   (* Aggregate group-policy cache: (table, column, WHERE, GROUP BY,
      group key) -> the conjunction of the group's per-row policies,
      stored with the validity token its build was captured under
-     ({!Enforce.Validity}). Entries revalidate individually: in precise
-     mode a write that touches none of an entry's recorded (table,
-     shard) slots leaves that group warm — the old scheme reset the
-     whole cache on any epoch move. Guarded by [agg_lock]: server
-     domains share the connector. *)
+     ({!Enforce.Validity}). Entries revalidate individually: a write
+     that touches none of an entry's recorded (table, shard) slots
+     leaves that group warm. Guarded by [agg_lock]: server domains
+     share the connector. *)
   agg_cache :
     ( string * string * Db.Expr.t * string list * Db.Value.t list,
       Policy.t * Enforce.Validity.t )

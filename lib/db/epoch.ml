@@ -1,9 +1,6 @@
 (* Per-table, per-shard mutation generations.
 
-   The old scheme was one process-wide counter ([Table.generation])
-   bumped on every accepted mutation: sound, but a write anywhere cooled
-   every memoized verdict everywhere. Here each table owns a generation
-   vector — one counter per hash shard of its primary-key space plus a
+   Each table owns a generation vector — one counter per hash shard of its primary-key space plus a
    whole-table total — and caches upstream record exactly the slots they
    read (see {!Footprint}), so a write to [users] shard 3 leaves verdicts
    over [answers] (and over [users] shard 5) warm.
@@ -25,16 +22,10 @@ type table_epoch = {
   shards : int Atomic.t array;  (* per primary-key hash shard *)
 }
 
-(* Legacy process-wide epoch (the old [Table.generation]), still bumped
-   on every mutation: the coarse mode benchmarks ablate against, and the
-   compatibility surface for callers that predate footprints. *)
-let global_counter = Atomic.make 0
-let global () = Atomic.get global_counter
-
-(* Structural epoch: create/drop/clear/restore and [Table.touch] — the
-   events that can change what a compiled plan certificate or schema
-   assumption means. Bumped far more rarely than row mutations, which is
-   exactly why certificates revalidate against it instead of [global]. *)
+(* Structural epoch: create/drop/clear/restore — the events that can
+   change what a compiled plan certificate or schema assumption means.
+   Bumped far more rarely than row mutations, which is why certificates
+   revalidate against it instead of the per-shard slots. *)
 let structure_counter = Atomic.make 0
 let structure () = Atomic.get structure_counter
 
@@ -65,29 +56,21 @@ let shard_of_value v = Hashtbl.hash v land (shard_count - 1)
 let shard_gen ep i = Atomic.get ep.shards.(i)
 let total_gen ep = Atomic.get ep.total
 
-(* A row mutation whose primary key is known: bump that shard, the
-   table total, and the legacy global. *)
+(* A row mutation whose primary key is known: bump that shard and the
+   table total. *)
 let bump_shard ep i =
   Atomic.incr ep.shards.(i);
-  Atomic.incr ep.total;
-  Atomic.incr global_counter
+  Atomic.incr ep.total
 
 (* A mutation that cannot be pinned to one key (multi-row update/delete
    without a pk, clear, restore): bump every shard so any footprint over
    the table goes stale. *)
 let bump_table ep =
   Array.iter Atomic.incr ep.shards;
-  Atomic.incr ep.total;
-  Atomic.incr global_counter
+  Atomic.incr ep.total
 
 (* Schema-level events (create/drop/clear/restore): also move the
    structural epoch that plan certificates key on. *)
 let bump_structural name =
   bump_table (for_table name);
-  Atomic.incr structure_counter
-
-(* The old [Table.touch] contract: a mutation the table layer cannot
-   see. Conservatively structural. *)
-let touch () =
-  Atomic.incr global_counter;
   Atomic.incr structure_counter

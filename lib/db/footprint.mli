@@ -1,4 +1,4 @@
-(** Read-footprint recording for precise cache invalidation.
+(** Read-footprint recording for cache invalidation.
 
     A cache (Enforce's verdict memo, Sesame_conn's aggregate cache)
     opens a {!scope} around a computation; every {!Table}/{!Database}

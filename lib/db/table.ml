@@ -21,9 +21,6 @@
    everything else (secondary probes, scans, folds) records the whole
    table. Caches upstream revalidate against exactly those slots. *)
 
-let generation () = Epoch.global ()
-let touch () = Epoch.touch ()
-
 type t = {
   schema : Schema.t;
   name : string;

@@ -8,22 +8,10 @@
     long scan sees a consistent statement-level snapshot instead of
     racing writers. Every mutation bumps the table's per-shard epoch
     vector ({!Epoch}) and every read records its dependency into the
-    ambient {!Footprint} scope, which is what makes precise verdict- and
+    ambient {!Footprint} scope, which is what makes verdict- and
     aggregate-cache invalidation upstream sound. *)
 
 type t
-
-val generation : unit -> int
-(** Legacy process-wide mutation epoch ({!Epoch.global}): bumped
-    whenever any table accepts a mutation (insert/update/delete/clear)
-    and by {!touch}. Coarse verdict caches compare against it; precise
-    ones record per-shard footprints instead. Monotonic; exact under
-    concurrent readers. *)
-
-val touch : unit -> unit
-(** Bumps {!generation} and the structural epoch ({!Epoch.structure}) —
-    for mutations the table layer cannot see (policy re-registration
-    and other out-of-band events). *)
 
 val create : Schema.t -> t
 val schema : t -> Schema.t

@@ -157,7 +157,7 @@ let websubmit_tests =
         (* student0 consents initially: present in the employer export. *)
         let before = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
         check_bool "present before" true (contains (body before) "student0@school.edu");
-        (* Warm the MlTraining consent cache. *)
+        (* Warm the cached MlTraining verdicts. *)
         ignore (Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain"));
         let r =
           Apps.Websubmit.handle app
@@ -166,8 +166,9 @@ let websubmit_tests =
         check_int "updated" 200 (status r);
         let after = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
         check_bool "absent after" false (contains (body after) "student0@school.edu");
-        (* The training policy must see the withdrawal despite its memo:
-           grades from student0 no longer pass the ml::train check. *)
+        (* The training policy must see the withdrawal despite the warm
+           verdict cache: grades from student0 no longer pass the
+           ml::train check. *)
         let ctx = C.Mock.context ~user:"admin@school.edu" ~sink:"ml::train" () in
         (match
            C.Sesame_conn.query (Apps.Websubmit.conn app) ~context:ctx
@@ -184,6 +185,68 @@ let websubmit_tests =
              (req ~cookies:(as_student 0) ~body:"consent=true" Http.Meth.POST "/consent"));
         let restored = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
         check_bool "present again" true (contains (body restored) "student0@school.edu"));
+    test "withdrawn consent stays withdrawn after a same-shard write" (fun () ->
+        (* A verdict recomputed after an unrelated write to the student's
+           users shard must still record that shard as read; otherwise it
+           outlives the student's later withdrawal. Pushdown off forces
+           Retrain's reference path through the cached per-row checks. *)
+        let saved_push = C.Enforce.pushdown_enabled () in
+        let saved_memo = C.Enforce.memoization () in
+        Fun.protect
+          ~finally:(fun () ->
+            C.Enforce.set_pushdown saved_push;
+            C.Enforce.set_memoization saved_memo;
+            C.Enforce.bump ())
+          (fun () ->
+            C.Enforce.set_pushdown false;
+            C.Enforce.set_memoization true;
+            let app = websubmit () in
+            let student0 = "student0@school.edu" in
+            let retrain_request = req ~cookies:as_admin Http.Meth.POST "/retrain" in
+            let retrain () =
+              check_int "retrained" 200
+                (status (Apps.Websubmit.retrain_model app retrain_request))
+            in
+            (* The filter Retrain runs, under the context it runs it in. *)
+            let student0_training_rows () =
+              let ctx =
+                C.Context.with_sink
+                  (C.Sesame_web.context_for retrain_request ~user:"admin@school.edu" ())
+                  "ml::train"
+              in
+              match
+                C.Sesame_conn.query_filtered (Apps.Websubmit.conn app) ~context:ctx
+                  ~on:"grade" "SELECT * FROM answers WHERE grade IS NOT NULL" ~params:[]
+              with
+              | Ok rows ->
+                  List.length
+                    (List.filter
+                       (fun row ->
+                         C.Pcon.Internal.unwrap (C.Pcon_row.text row "email") = student0)
+                       rows)
+              | Error _ -> Alcotest.fail "training query failed"
+            in
+            retrain ();
+            let shard_of email = Sesame_db.Epoch.shard_of_value (Sesame_db.Value.Text email) in
+            let rec same_shard i =
+              let email = Printf.sprintf "peer%d@x.edu" i in
+              if shard_of email = shard_of student0 then email else same_shard (i + 1)
+            in
+            let r =
+              Apps.Websubmit.register_user app
+                (req
+                   ~body:(Printf.sprintf "email=%s&apikey=k&consent=true" (same_shard 0))
+                   Http.Meth.POST "/register")
+            in
+            check_int "registered" 201 (status r);
+            retrain ();
+            check_bool "student0 trains before withdrawal" true (student0_training_rows () > 0);
+            let r =
+              Apps.Websubmit.handle app
+                (req ~cookies:(as_student 0) ~body:"consent=false" Http.Meth.POST "/consent")
+            in
+            check_int "withdrawn" 200 (status r);
+            check_int "no student0 rows after withdrawal" 0 (student0_training_rows ())));
     test "baseline endpoints behave equivalently on the happy path" (fun () ->
         let base = Result.get_ok (Apps.Websubmit_baseline.create ()) in
         (match Apps.Websubmit_baseline.seed base ~students:12 ~questions:3 with

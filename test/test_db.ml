@@ -508,17 +508,18 @@ let index_tests =
           items_rows db "SELECT * FROM items WHERE grp = ? LIMIT 2" [ Value.Int 1 ]
         in
         check_bool "prefix" true (limited = [ List.nth all 0; List.nth all 1 ]));
-    test "mutations bump the process-wide table generation" (fun () ->
+    test "mutations bump the table's total generation" (fun () ->
         let db = items_db () in
-        let g0 = Table.generation () in
+        let gen () = Epoch.total_gen (Epoch.for_table "items") in
+        let g0 = gen () in
         items_exec db "UPDATE items SET grp = 6 WHERE id = 1" [];
-        let g1 = Table.generation () in
+        let g1 = gen () in
         check_bool "update bumps" true (g1 > g0);
         (* A miss (no rows matched) must not invalidate caches. *)
         items_exec db "UPDATE items SET grp = 6 WHERE id = 99999" [];
-        check_int "no-op update" g1 (Table.generation ());
+        check_int "no-op update" g1 (gen ());
         ignore (items_rows db "SELECT * FROM items" []);
-        check_int "select does not bump" g1 (Table.generation ()));
+        check_int "select does not bump" g1 (gen ()));
   ]
 
 let () =

@@ -1,14 +1,14 @@
-(* Per-shard epochs and footprint-keyed (precise) cache invalidation.
+(* Per-shard epochs and footprint-keyed cache invalidation.
 
-   The load-bearing properties: a pk mutation bumps only its own shard
-   (and the legacy global counter); reads record exactly the (table,
-   shard) slots they depended on; Enforce's precise mode keeps verdicts
-   warm across writes to other tables and other shards while any write
-   to a recorded slot still invalidates; the connector's aggregate
-   cache survives unrelated writes; scans racing writers see a
-   consistent snapshot; and precise mode stays observationally
-   identical to the sequential Policy reference — same verdicts,
-   byte-identical denial messages — under every flag combination. *)
+   The load-bearing properties: a pk mutation bumps only its own shard;
+   reads record exactly the (table, shard) slots they depended on;
+   Enforce keeps verdicts warm across writes to other tables and other
+   shards while any write to a recorded slot still invalidates; the
+   connector's aggregate cache survives unrelated writes; scans racing
+   writers see a consistent snapshot; and the cache stays
+   observationally identical to the sequential Policy reference — same
+   verdicts, byte-identical denial messages — under every flag
+   combination. *)
 
 module C = Sesame_core
 module Db = Sesame_db
@@ -66,7 +66,6 @@ let epoch_tests =
         consent_table db "ep_one" [ "ada" ];
         let ep = Db.Epoch.for_table "ep_one" in
         let before = shard_gens ep and t0 = Db.Epoch.total_gen ep in
-        let g0 = Db.Epoch.global () in
         let bob = key_sharded_like "ada" ~same:false in
         exec db "INSERT INTO ep_one VALUES (?, ?)" [ Db.Value.Text bob; Db.Value.Bool true ];
         let after = shard_gens ep in
@@ -76,8 +75,7 @@ let epoch_tests =
             if i = hit then check_bool "hit shard moved" true (after.(i) > b)
             else check_int (Printf.sprintf "shard %d untouched" i) b after.(i))
           before;
-        check_bool "total moved" true (Db.Epoch.total_gen ep > t0);
-        check_bool "global moved" true (Db.Epoch.global () > g0));
+        check_bool "total moved" true (Db.Epoch.total_gen ep > t0));
     test "an unfiltered update bumps exactly the touched keys' shards" (fun () ->
         let db = Db.Database.create () in
         let other = key_sharded_like "ada" ~same:false in
@@ -215,11 +213,9 @@ module Consent = C.Policy.Make (Consent_family)
 let with_enforce_defaults f =
   Fun.protect
     ~finally:(fun () ->
-      C.Enforce.set_precise_invalidation true;
       C.Enforce.set_memoization true;
       C.Enforce.bump ())
     (fun () ->
-      C.Enforce.set_precise_invalidation true;
       C.Enforce.set_memoization true;
       C.Enforce.bump ();
       f ())
@@ -241,14 +237,7 @@ let enforce_tests =
             check_bool "warmed" true (C.Enforce.check pb ctx);
             exec db "UPDATE inv_a SET consent = false WHERE who = ?" [ Db.Value.Text "ada" ];
             let runs = leaf_runs (fun () -> check_bool "still allowed" true (C.Enforce.check pb ctx)) in
-            check_int "still cached after cross-table write" 0 runs;
-            (* The same write under coarse (global-epoch) mode recomputes:
-               the ablation the benchmark measures. *)
-            C.Enforce.set_precise_invalidation false;
-            ignore (C.Enforce.check pb ctx);
-            exec db "UPDATE inv_a SET consent = true WHERE who = ?" [ Db.Value.Text "ada" ];
-            let runs = leaf_runs (fun () -> ignore (C.Enforce.check pb ctx)) in
-            check_bool "coarse mode recomputes" true (runs > 0)));
+            check_int "still cached after cross-table write" 0 runs));
     test "a write to shard i keeps shard j's verdicts warm" (fun () ->
         with_enforce_defaults (fun () ->
             let db = Db.Database.create () in
@@ -491,7 +480,7 @@ let hammer_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: precise mode vs the sequential reference *)
+(* Differential: the verdict cache vs the sequential reference *)
 
 module Parity = C.Policy.Make (struct
   type s = int
@@ -543,8 +532,7 @@ let op_arb =
    must match the uncached sequential walk computed at the same instant,
    verdicts AND denial messages. An unsoundly-warm cache entry shows up
    here as a verdict diverging right after the mutation it missed. *)
-let differential_run pool ~precise ~memo ~parallel ops =
-  C.Enforce.set_precise_invalidation precise;
+let differential_run pool ~memo ~parallel ops =
   C.Enforce.set_memoization memo;
   C.Enforce.set_pool (if parallel then Some pool else None);
   C.Enforce.set_parallel_cutoff 2;
@@ -589,25 +577,17 @@ let differential_prop pool ops =
       C.Enforce.set_pool saved_pool;
       C.Enforce.set_parallel_cutoff 64;
       C.Enforce.set_memoization true;
-      C.Enforce.set_precise_invalidation true;
       C.Enforce.bump ())
     (fun () ->
       List.for_all
-        (fun (precise, memo, parallel) ->
-          differential_run pool ~precise ~memo ~parallel ops)
-        [
-          (true, true, false);
-          (true, true, true);
-          (true, false, false);
-          (false, true, false);
-          (false, true, true);
-        ])
+        (fun (memo, parallel) -> differential_run pool ~memo ~parallel ops)
+        [ (true, false); (true, true); (false, false) ])
 
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:80
-         ~name:"precise/coarse x memo x pool == sequential reference under mutation"
+         ~name:"memo x pool == sequential reference under mutation"
          op_arb
          (fun ops -> with_pool 3 (fun pool -> differential_prop pool ops)));
   ]
